@@ -47,6 +47,7 @@ pub use ring::{KeyRing, RestrictedSigner};
 pub use symbolic::SymbolicScheme;
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A signature produced by one of the supported schemes.
 ///
@@ -56,8 +57,10 @@ use std::fmt;
 pub enum Signature {
     /// A symbolic (ideal-model) signature: a 64-bit keyed tag.
     Symbolic(u64),
-    /// A real ed25519 signature (64 bytes).
-    Ed25519(Box<[u8; 64]>),
+    /// A real ed25519 signature (64 bytes), shared: every copy of a
+    /// message fanned out to many destinations bumps a refcount instead
+    /// of allocating (and, across threads, freeing) its own 64 bytes.
+    Ed25519(Arc<[u8; 64]>),
 }
 
 impl fmt::Debug for Signature {
@@ -97,7 +100,7 @@ mod tests {
     fn signature_debug_is_nonempty() {
         let s = Signature::Symbolic(0xdead_beef);
         assert!(!format!("{s:?}").is_empty());
-        let e = Signature::Ed25519(Box::new([7u8; 64]));
+        let e = Signature::Ed25519(Arc::new([7u8; 64]));
         assert!(format!("{e:?}").contains("ed25519"));
     }
 }

@@ -84,17 +84,16 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, Sender};
 use crusader_crypto::{KeyRing, NodeId};
 use crusader_sim::Automaton;
-use crusader_time::Dur;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::clock::EmulatedClock;
 use crate::harness::{BackendRun, RuntimeConfig};
-use crate::net::{NetChaos, NetCommand, NetLink, Network, NodeEvent};
+use crate::net::{DeliverySink, NetChaos, NetCommand, NetLink, Network, NodeEvent};
 use crate::node::{NodeCore, Outbox};
 use crate::supervise::{self, Counters, Heartbeats};
-use crate::wheel::{TimerWheel, WheelKey};
+use crate::wheel::{self, TimerWheel, WheelKey};
 
 /// Max events one scheduling quantum may process before the node goes
 /// back to the end of the ready queue.
@@ -108,20 +107,6 @@ const KICK: u32 = u32::MAX - 1;
 
 /// Slot count of the per-run hashed timer wheel.
 const WHEEL_SLOTS: usize = 256;
-
-/// Wheel tick granularity: fine enough that the ≤ 1-tick wake lateness
-/// is small against the delay uncertainty `u` (protocol deadlines
-/// compound two or three timer hops, so lateness must be ≪ the slack
-/// `u` provides), coarse enough that the timer thread is not spinning.
-/// Clamped to `[50 µs, 1 ms]`.
-fn wheel_granularity_ns(u: Dur, d: Dur) -> u64 {
-    let base = (u.min(d) / 64.0).as_nanos();
-    let clamped = base.clamp(50_000.0, 1_000_000.0);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    {
-        clamped as u64
-    }
-}
 
 struct Cell<A: Automaton> {
     inbox: Mutex<Vec<NodeEvent<A::Msg>>>,
@@ -176,19 +161,42 @@ impl<A: Automaton> Shared<A> {
         // Kick a (possibly parked) worker to look at the lane.
         let _ = self.ready_tx.send(KICK);
     }
+}
 
-    /// Network-delivery sink: push and wake. Events for silent nodes
-    /// are dropped here — the node crashed before start, so the bytes
-    /// would only pile up unread (the thread backend's sink does the
-    /// same; the network still counts the delivery). Also carries the
-    /// chaos injector's `Freeze`/`Thaw` control events.
-    fn deliver(&self, to: NodeId, event: NodeEvent<A::Msg>) {
-        if !self.active[to.index()] {
+/// The network thread's handle on the cells: push and wake. Events for
+/// silent nodes are dropped here — the node crashed before start, so the
+/// bytes would only pile up unread (the thread backend's sink does the
+/// same; the network still counts the delivery). A tick's deliveries to
+/// one node cost one inbox lock and one scheduling, however many there
+/// are. Also carries the chaos injector's control events, one by one.
+struct NetSink<A: Automaton>(Arc<Shared<A>>);
+
+impl<A: Automaton> DeliverySink<A::Msg> for NetSink<A> {
+    fn deliver(&mut self, to: NodeId, event: NodeEvent<A::Msg>) {
+        let shared = &*self.0;
+        if shared.active[to.index()] {
+            shared.cells[to.index()].inbox.lock().push(event);
+            shared.schedule(to.index());
+        }
+    }
+
+    fn deliver_batch(&mut self, to: NodeId, _due: Instant, events: &mut Vec<NodeEvent<A::Msg>>) {
+        let shared = &*self.0;
+        if !shared.active[to.index()] {
+            events.clear();
             return;
         }
-        let cell = &self.cells[to.index()];
-        cell.inbox.lock().push(event);
-        self.schedule(to.index());
+        {
+            let mut inbox = shared.cells[to.index()].inbox.lock();
+            if inbox.is_empty() {
+                // Hand the whole buffer over; the node's spent (empty)
+                // inbox comes back for the next tick.
+                std::mem::swap(&mut *inbox, events);
+            } else {
+                inbox.append(events);
+            }
+        }
+        shared.schedule(to.index());
     }
 }
 
@@ -579,10 +587,7 @@ where
         urgent: Mutex::new(std::collections::VecDeque::new()),
     });
 
-    let net_sink = {
-        let shared = Arc::clone(&shared);
-        move |to: NodeId, event: NodeEvent<A::Msg>| shared.deliver(to, event)
-    };
+    let net_sink = NetSink(Arc::clone(&shared));
     let net_chaos = cfg.chaos.as_ref().map(|timeline| {
         let cell = Arc::new(std::sync::OnceLock::new());
         cell.set(epoch).expect("fresh cell");
@@ -594,7 +599,7 @@ where
     let network = Network::spawn(net_sink, cfg.n, cfg.d, cfg.u, cfg.seed, net_chaos);
 
     let (wheel_tx, wheel_rx) = channel::unbounded::<WheelCmd>();
-    let granularity = wheel_granularity_ns(cfg.u, cfg.d);
+    let granularity = wheel::granularity_ns(cfg.u, cfg.d);
     let timer_handle = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()

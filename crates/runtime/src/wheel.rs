@@ -19,20 +19,47 @@
 //!   Insertion and cancellation are `O(1)` plus a short in-slot scan
 //!   (slot occupancy is `len / SLOTS`; the reactor keeps at most one
 //!   entry per node, so with 2048 nodes and 256 slots that is ≈ 8).
+//!   Within a slot, entries stay in insertion (= sequence) order.
 //! * **Advancing.** [`advance`](TimerWheel::advance) collects every entry
 //!   whose tick is at or before "now", scanning only the slots the
 //!   cursor passed (or one full rotation, whichever is smaller), and
 //!   returns them sorted by `(tick, seq)` — deterministic FIFO order for
 //!   same-deadline ties, which the oracle proptest below pins against a
-//!   `BinaryHeap`.
+//!   `BinaryHeap`. A slot that empties releases its buffer, so a burst
+//!   of entries costs memory only while it is pending.
+//! * **Next deadline.** Every pending tick is at or after the cursor, and
+//!   tick `cursor + i` lives in the `i`-th slot from the cursor, so the
+//!   first slot (in cursor order) holding an entry of exactly that tick
+//!   holds the minimum: [`next_deadline`](TimerWheel::next_deadline)
+//!   costs the distance to the next due tick, not a scan of every entry.
+//!   Only when no entry lies within one rotation does it visit them all.
 //! * **Cancellation.** [`insert`](TimerWheel::insert) returns a
 //!   [`WheelKey`] with a unique sequence number;
 //!   [`cancel`](TimerWheel::cancel) removes the entry if it has not
 //!   fired yet.
 //!
 //! The wheel is a plain deterministic data structure (no clocks, no
-//! threads); the reactor's timer thread owns one and drives it with real
-//! host instants.
+//! threads). The runtime owns two, both ticking at
+//! `clamp(min(u, d)/64, 50 µs, 1 ms)`: the reactor's timer thread drives
+//! one with node wakeups, and the network thread holds every in-flight
+//! message in one (`crates/runtime/src/net.rs`).
+
+use crusader_time::Dur;
+
+/// Tick granularity of the runtime's wheels, in nanoseconds:
+/// `clamp(min(u, d) / 64, 50 µs, 1 ms)`. Fine enough that the ≤ 1-tick
+/// lateness is small against the delay uncertainty `u` (protocol
+/// deadlines compound two or three timer hops, so lateness must be ≪ the
+/// slack `u` provides), coarse enough that neither the timer thread nor
+/// the network thread spins.
+pub(crate) fn granularity_ns(u: Dur, d: Dur) -> u64 {
+    let base = (u.min(d) / 64.0).as_nanos();
+    let clamped = base.clamp(50_000.0, 1_000_000.0);
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    {
+        clamped as u64
+    }
+}
 
 /// Handle to a pending entry, for [`TimerWheel::cancel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,7 +174,12 @@ impl<T> TimerWheel<T> {
     pub fn cancel(&mut self, key: WheelKey) -> Option<T> {
         let slot = &mut self.slots[key.slot as usize];
         let at = slot.iter().position(|e| e.seq == key.seq)?;
-        let entry = slot.swap_remove(at);
+        // `remove`, not `swap_remove`: in-slot order is sequence order,
+        // which `advance` relies on for its `(tick, seq)` output.
+        let entry = slot.remove(at);
+        if slot.is_empty() {
+            *slot = Vec::new();
+        }
         self.len -= 1;
         if self.min_tick == Some(entry.tick) {
             self.min_tick = None; // recompute lazily
@@ -162,52 +194,84 @@ impl<T> TimerWheel<T> {
             return None;
         }
         if self.min_tick.is_none() {
-            self.min_tick = self
-                .slots
-                .iter()
-                .flatten()
-                .map(|e| e.tick)
-                .min();
+            self.min_tick = Some(self.scan_min_tick());
         }
         self.min_tick.map(|t| t * self.granularity)
+    }
+
+    /// The earliest pending tick, found by walking the slots from the
+    /// cursor: every pending tick is `>= cursor` (inserts clamp to it,
+    /// sweeps remove everything behind it), so the first slot holding an
+    /// entry of tick `cursor + i` at step `i` holds the minimum. Entries
+    /// from later rotations seen on the way are folded into a fallback
+    /// minimum, used when no entry lies within one rotation.
+    fn scan_min_tick(&self) -> u64 {
+        let slots = self.slots.len() as u64;
+        let mut fallback = u64::MAX;
+        for i in 0..slots {
+            let tick = self.cursor + i;
+            for e in &self.slots[(tick % slots) as usize] {
+                if e.tick == tick {
+                    return tick;
+                }
+                fallback = fallback.min(e.tick);
+            }
+        }
+        debug_assert!(fallback != u64::MAX, "non-empty wheel without entries");
+        fallback
     }
 
     /// Removes and returns every entry due at or before `now_ns`, sorted
     /// by `(tick, seq)` — deadline order, insertion order within a tick.
     pub fn advance(&mut self, now_ns: u64) -> Vec<(u64, T)> {
+        let mut fired = Vec::new();
+        self.advance_into(now_ns, &mut fired);
+        fired
+    }
+
+    /// [`advance`](Self::advance) appending to a caller-owned buffer, so a
+    /// thread sweeping every tick reuses one allocation.
+    pub fn advance_into(&mut self, now_ns: u64, out: &mut Vec<(u64, T)>) {
         let now_tick = now_ns / self.granularity;
-        if self.len == 0 {
-            self.cursor = self.cursor.max(now_tick + 1);
-            return Vec::new();
-        }
-        let mut fired: Vec<Entry<T>> = Vec::new();
-        let slots = self.slots.len() as u64;
-        // Sweep only the slots the cursor actually passes; a jump longer
-        // than one rotation visits each slot once.
-        let span = (now_tick + 1).saturating_sub(self.cursor).min(slots);
-        let start = self.cursor;
-        for i in 0..span {
-            let slot = ((start + i) % slots) as usize;
-            let bucket = &mut self.slots[slot];
-            let mut j = 0;
-            while j < bucket.len() {
-                if bucket[j].tick <= now_tick {
-                    fired.push(bucket.swap_remove(j));
-                } else {
-                    j += 1;
+        let start = out.len();
+        if self.len > 0 {
+            let slots = self.slots.len() as u64;
+            // Sweep only the slots the cursor actually passes; a jump
+            // longer than one rotation visits each slot once.
+            let span = (now_tick + 1).saturating_sub(self.cursor).min(slots);
+            let g = self.granularity;
+            for i in 0..span {
+                let bucket = &mut self.slots[((self.cursor + i) % slots) as usize];
+                if bucket.iter().any(|e| e.tick <= now_tick) {
+                    // Entries of later rotations stay, in order; a slot
+                    // left empty gives up its buffer.
+                    let mut keep = Vec::new();
+                    for e in std::mem::take(bucket) {
+                        if e.tick <= now_tick {
+                            out.push((e.tick * g, e.payload));
+                        } else {
+                            keep.push(e);
+                        }
+                    }
+                    *bucket = keep;
                 }
             }
+            self.len -= out.len() - start;
+            if self.min_tick.is_some_and(|m| m <= now_tick) {
+                self.min_tick = None;
+            }
+            // Slots come out in cursor order and each in sequence order,
+            // and equal ticks share a slot: a stable sort by tick yields
+            // `(tick, seq)` order (a no-op pass when only one tick fired).
+            out[start..].sort_by_key(|&(ns, _)| ns);
         }
         self.cursor = self.cursor.max(now_tick + 1);
-        self.len -= fired.len();
-        if fired.iter().any(|e| Some(e.tick) == self.min_tick) {
-            self.min_tick = None;
-        }
-        fired.sort_by_key(|e| (e.tick, e.seq));
-        fired
-            .into_iter()
-            .map(|e| (e.tick * self.granularity, e.payload))
-            .collect()
+    }
+
+    /// Total entry capacity held by the slots (memory diagnostics).
+    #[cfg(test)]
+    fn slot_capacity(&self) -> usize {
+        self.slots.iter().map(Vec::capacity).sum()
     }
 }
 
@@ -394,6 +458,79 @@ mod tests {
                 prop_assert_eq!(wheel.len(), model.len());
                 let model_min = model.iter().map(|&(t, _)| t * g).min();
                 prop_assert_eq!(wheel.next_deadline(), model_min);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+            /// The wheel at network scale, against a `BinaryHeap` oracle:
+            /// the network thread's shape (flights in `[d − u, d]`, a
+            /// rotation of `⌈d/g⌉ + 2` slots) with bursts of inserts
+            /// interleaved with tick-sized advances and an occasional jump
+            /// of more than a rotation, past 10 K live entries. Checks
+            /// exact `(tick, seq)` fire order, that nothing fires before
+            /// its deadline, that `next_deadline` is the oracle minimum
+            /// rounded up to a tick, and that the drained wheel keeps no
+            /// slot capacity.
+            #[test]
+            fn prop_wheel_at_network_scale(
+                seed in any::<u64>(),
+                burst in 250usize..500,
+            ) {
+                use std::cmp::Reverse;
+                use std::collections::BinaryHeap;
+
+                use rand::rngs::SmallRng;
+                use rand::{Rng, SeedableRng};
+
+                let g = 1_000u64;
+                let (d, u) = (120 * g, 40 * g);
+                let slots = d.div_ceil(g) as usize + 2;
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut wheel = TimerWheel::new(g, slots);
+                // (tick, seq, deadline): ticks are plain ceilings, since
+                // every deadline is at least `d − u ≥ g` past the sweep.
+                let mut oracle: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+                let mut now = 0u64;
+                let mut seq = 0u64;
+                let mut peak = 0usize;
+                for step in 0..600u32 {
+                    for _ in 0..rng.gen_range(0..=burst) {
+                        let deadline = now + rng.gen_range(d - u..=d);
+                        wheel.insert(deadline, (seq, deadline));
+                        oracle.push(Reverse((deadline.div_ceil(g), seq, deadline)));
+                        seq += 1;
+                    }
+                    peak = peak.max(wheel.len());
+                    let model_min = oracle.peek().map(|Reverse((t, _, _))| t * g);
+                    prop_assert_eq!(wheel.next_deadline(), model_min);
+                    now += if step % 97 == 96 {
+                        (slots as u64 + 5) * g // more than a rotation
+                    } else {
+                        rng.gen_range(0..2 * g)
+                    };
+                    let now_tick = now / g;
+                    let mut expect = Vec::new();
+                    while oracle.peek().is_some_and(|Reverse((t, _, _))| *t <= now_tick) {
+                        let Reverse((t, s, _)) = oracle.pop().expect("peeked");
+                        expect.push((t, s));
+                    }
+                    let fired = wheel.advance(now);
+                    for &(_, (_, deadline)) in &fired {
+                        prop_assert!(deadline <= now, "fired early: {deadline} > {now}");
+                    }
+                    let got: Vec<(u64, u64)> =
+                        fired.iter().map(|&(ns, (s, _))| (ns / g, s)).collect();
+                    prop_assert_eq!(got, expect);
+                    prop_assert_eq!(wheel.len(), oracle.len());
+                }
+                prop_assert!(peak >= 10_000, "only {peak} live entries at peak");
+                let drained = wheel.advance(now + 2 * d);
+                prop_assert_eq!(drained.len(), oracle.len());
+                prop_assert!(wheel.is_empty());
+                prop_assert_eq!(wheel.next_deadline(), None);
+                prop_assert_eq!(wheel.slot_capacity(), 0);
             }
         }
     }

@@ -326,6 +326,11 @@ const RUN_DEMOTE_MIN: usize = 64;
 /// must not trigger a demote-and-reclaim round trip.
 const RUN_DEMOTE_INSERTS: u32 = 32;
 
+/// Entries of spare capacity an empty ring slot may always keep. Past
+/// this, a spent run buffer parked in a slot is capped at twice the
+/// queue's per-bucket share of live entries (see [`EventQueue::advance`]).
+const BUCKET_KEEP_MIN: usize = 64;
+
 
 /// Sorts one claimed bucket ascending. Bucket contents are near-sorted —
 /// pushes happen in nondecreasing "now" order with at most the delay
@@ -804,8 +809,16 @@ impl<M> EventQueue<M> {
         let slot = self.first_occupied_from(from);
         let delta = (slot + LADDER_BUCKETS - from) % LADDER_BUCKETS;
         // Swap, not drain: the run's spent capacity rotates into the ring
-        // slot, so steady state allocates nothing.
+        // slot, so steady state allocates nothing. Unless it is far larger
+        // than the queue's per-bucket share of live entries: a burst run
+        // parked in every slot it passes would ratchet each slot up to the
+        // largest burst ever seen (on a 40-round n = 64 Byzantine run,
+        // 5.4 M entries of capacity — the whole peak RSS — for ~100 K live).
         std::mem::swap(&mut self.run, &mut self.buckets[slot]);
+        let keep = BUCKET_KEEP_MIN.max(2 * self.len / LADDER_BUCKETS);
+        if self.buckets[slot].capacity() > keep {
+            self.buckets[slot] = Vec::new();
+        }
         self.occupied[slot / 64] &= !(1 << (slot % 64));
         self.in_buckets -= self.run.len();
         sort_near_sorted(&mut self.run);
@@ -912,6 +925,12 @@ impl<M> EventQueue<M> {
             .flatten()
             .filter(|k| matches!(k, EventKind::Deliver { .. }))
             .count()
+    }
+
+    /// Entry capacity held by the bucket ring (memory diagnostics).
+    #[cfg(test)]
+    fn bucket_capacity(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum()
     }
 
     /// Slab slots currently sitting on the free list (leak diagnostics).
@@ -1179,6 +1198,44 @@ mod tests {
         // across two separate recharges (100 ms and 500 ms fit no common
         // ladder span; 5000 ms needs a third).
         assert_eq!(keys, vec![0, 1, 2, 3]);
+    }
+
+    /// Regression: a large single-bucket burst, claimed as the run and
+    /// drained, used to park its buffer in the next claimed slot, so over
+    /// many rotations every ring slot kept the largest burst's capacity.
+    #[test]
+    fn bucket_capacity_stays_bounded_under_repeated_bursts() {
+        const BURST: usize = 4_096;
+        let d = Dur::from_millis(1.0);
+        let width = d / LADDER_BUCKETS_PER_HORIZON;
+        let mut q: EventQueue<()> = EventQueue::with_delay_hint(d);
+        // A small standing population keeps the ladder anchored (the
+        // queue never drains), one bucket ahead of each burst.
+        let mut key = 0u64;
+        let mut small = |q: &mut EventQueue<()>, at: Time| {
+            q.push(at, EventKind::AdvTimer { key });
+            key += 1;
+        };
+        small(&mut q, Time::ZERO);
+        let rounds = 3 * LADDER_BUCKETS as u64;
+        for round in 0..rounds {
+            // The burst lands in its own bucket, 1.5 widths on, and a
+            // singleton in the bucket after it keeps the queue non-empty.
+            let at = Time::ZERO + width * (1.5 * (round + 1) as f64);
+            for _ in 0..BURST {
+                small(&mut q, at);
+            }
+            small(&mut q, at + width * 0.75);
+            // Drain everything up to and including the burst.
+            while q.peek_key().is_some_and(|k| k.at() <= at) {
+                q.pop();
+            }
+        }
+        let retained = q.bucket_capacity();
+        assert!(
+            retained <= 4 * BURST + LADDER_BUCKETS * BUCKET_KEEP_MIN,
+            "{retained} entries of bucket capacity retained after {rounds} bursts of {BURST}"
+        );
     }
 
     #[test]
